@@ -20,7 +20,9 @@ import (
 
 // Doctor exit codes. The resilience section uses distinct codes so CI can
 // tell which safety net tore without parsing output; the baseline checks
-// share code 1 as before.
+// share code 1 as before. Code 10 is retired: it flagged the warm-state
+// fork check, deleted with the feature it guarded, and the later codes
+// keep their values.
 const (
 	exitDoctorBaseline    = 1  // any baseline model/simulator check failed
 	exitDoctorFaultInject = 2  // fault-injector round-trip broken
@@ -31,7 +33,6 @@ const (
 	exitDoctorObs         = 7  // metric snapshot / manifest differed across -j
 	exitDoctorServe       = 8  // HTTP serving layer diverged from the library
 	exitDoctorRouter      = 9  // fleet router diverged, dropped, or failed to hedge
-	exitDoctorFork        = 10 // warm-fork sweep diverged from cold, or forked under faults
 	exitDoctorSurrogate   = 11 // surrogate fast path leaked into exact mode, or broke its bound
 	exitDoctorScenario    = 12 // scenario IR broke baseline fidelity, identity, or 3D physics
 )
@@ -65,7 +66,6 @@ func runDoctor(args []string) error {
 		{"manifest identical across -j", checkObsDeterminism, exitDoctorObs},
 		{"serve round-trip deterministic", checkServe, exitDoctorServe},
 		{"router fleet invisible under faults", checkRouter, exitDoctorRouter},
-		{"warm-fork sweep matches cold", checkForkDeterminism, exitDoctorFork},
 		{"surrogate path exact-invisible and bound-honest", checkSurrogate, exitDoctorSurrogate},
 		{"scenario IR faithful, content-addressed, 3D-sane", checkScenario, exitDoctorScenario},
 	}
@@ -233,68 +233,6 @@ func checkParallelDeterminism() error {
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		return fmt.Errorf("sweep outcomes differ between -j 1 and -j 4")
-	}
-	return nil
-}
-
-// checkForkDeterminism is check 14: a sweep that warm-starts runs by
-// forking recorded neighbor checkpoints must be byte-identical to one
-// that cold-starts every run, at -j 1, 4 and 16 — and under an active
-// fault spec the forking machinery must bypass itself entirely (zero
-// cache traffic) rather than replay streams the injector never saw.
-func checkForkDeterminism() error {
-	apps, err := appsFor("FFT,LU,Radix")
-	if err != nil {
-		return err
-	}
-	sweep := func(workers int, noFork, faulty bool) ([]cmppower.SweepOutcome, cmppower.ForkStats, error) {
-		rig, err := experiment.NewRig(0.1)
-		if err != nil {
-			return nil, cmppower.ForkStats{}, err
-		}
-		rig.Seed = 11
-		if faulty {
-			if rig.Faults, err = cmppower.NewFaultInjector(cmppower.FaultConfig{
-				Seed: 11, SensorNoiseSigmaC: 1.5, DVFSFailProb: 0.05,
-			}); err != nil {
-				return nil, cmppower.ForkStats{}, err
-			}
-		}
-		outs, err := rig.SweepScenarioIWith(context.Background(), apps, []int{1, 2, 4},
-			cmppower.SweepConfig{Retry: cmppower.DefaultRetryConfig(), Workers: workers, NoFork: noFork})
-		return outs, rig.ForkStats(), err
-	}
-	cold, _, err := sweep(1, true, false)
-	if err != nil {
-		return err
-	}
-	for _, j := range []int{1, 4, 16} {
-		warm, st, err := sweep(j, false, false)
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(cold, warm) {
-			return fmt.Errorf("forking sweep at -j %d differs from cold sweep", j)
-		}
-		if st.Hits == 0 || st.Records == 0 {
-			return fmt.Errorf("forking sweep at -j %d never forked (hits=%d records=%d)", j, st.Hits, st.Records)
-		}
-	}
-	// Under active injection: identical results to a faulty cold sweep AND
-	// zero fork-cache traffic.
-	faultyCold, _, err := sweep(1, true, true)
-	if err != nil {
-		return err
-	}
-	faultyWarm, st, err := sweep(1, false, true)
-	if err != nil {
-		return err
-	}
-	if !reflect.DeepEqual(faultyCold, faultyWarm) {
-		return fmt.Errorf("fork-enabled faulty sweep differs from cold faulty sweep")
-	}
-	if st.Hits != 0 || st.Misses != 0 || st.Records != 0 {
-		return fmt.Errorf("fork cache saw traffic under active fault injection: %+v", st)
 	}
 	return nil
 }

@@ -10,7 +10,7 @@ import (
 	"cmppower/internal/scenario"
 )
 
-// checkScenario is doctor check 16: the scenario IR's three contracts.
+// checkScenario is doctor check 15: the scenario IR's three contracts.
 //
 //  1. Baseline fidelity: a rig built from the baseline scenario document
 //     measures bit-identically to the legacy flag-era rig, and a

@@ -13,7 +13,7 @@ import (
 	"cmppower/internal/server"
 )
 
-// checkSurrogate is doctor check 15: the surrogate fast path must be
+// checkSurrogate is doctor check 14: the surrogate fast path must be
 // invisible in exact mode and honest in surrogate mode. Concretely:
 //
 //  1. Exact-mode /v1/run bodies are byte-identical with the surrogate

@@ -173,7 +173,6 @@ func runFig3(args []string) error {
 	dtm := fs.Bool("dtm", false, "run the DTM controller on every run and report its summary")
 	retries := fs.Int("retries", 3, "attempts per app for injected-transient failures")
 	jobs := fs.Int("j", 0, "sweep worker count; 0 = GOMAXPROCS (output is identical for every -j)")
-	noFork := fs.Bool("nofork", false, "disable warm-state forking; every run cold-starts (output is identical either way)")
 	scnF := addScenarioFlag(fs)
 	obsF := addObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -201,7 +200,7 @@ func runFig3(args []string) error {
 	rc := cmppower.DefaultRetryConfig()
 	rc.Attempts = *retries
 	outcomes, sweepErr := rig.SweepScenarioIWith(ctx, apps, counts,
-		cmppower.SweepConfig{Retry: rc, Workers: *jobs, NoFork: *noFork})
+		cmppower.SweepConfig{Retry: rc, Workers: *jobs})
 	t := report.NewTable(
 		"Figure 3: Scenario I on the 16-way CMP (performance target = 1 core at nominal V/f)",
 		"app", "N", "nominal-eff", "actual-speedup", "norm-power", "norm-density", "avg-temp(C)", "f(MHz)", "V")
@@ -267,7 +266,6 @@ func runFig4(args []string) error {
 	dtm := fs.Bool("dtm", false, "run the DTM controller on every run and report its summary")
 	retries := fs.Int("retries", 3, "attempts per app for injected-transient failures")
 	jobs := fs.Int("j", 0, "sweep worker count; 0 = GOMAXPROCS (output is identical for every -j)")
-	noFork := fs.Bool("nofork", false, "disable warm-state forking; every run cold-starts (output is identical either way)")
 	scnF := addScenarioFlag(fs)
 	obsF := addObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -295,7 +293,7 @@ func runFig4(args []string) error {
 	rc := cmppower.DefaultRetryConfig()
 	rc.Attempts = *retries
 	outcomes, sweepErr := rig.SweepScenarioIIWith(ctx, apps, counts,
-		cmppower.SweepConfig{Retry: rc, Workers: *jobs, NoFork: *noFork})
+		cmppower.SweepConfig{Retry: rc, Workers: *jobs})
 	t := report.NewTable(
 		fmt.Sprintf("Figure 4: speedup under the 1-core power budget (%.1f W)", rig.BudgetW()),
 		"app", "N", "nominal", "actual", "f(MHz)", "power(W)", "at-nominal")

@@ -241,7 +241,7 @@ Commands:
            round-trip; distinct exit codes per resilience failure:
            2=injector, 3=DTM, 4=cancellation, 5=parallel-divergence,
            6=batched-engine-divergence, 7=manifest-divergence,
-           8=serve-divergence, 9=router-divergence, 10=fork-divergence,
+           8=serve-divergence, 9=router-divergence, 10=retired,
            11=surrogate-divergence, 12=scenario-divergence)
   cachesweep  L1 capacity sensitivity across core counts
   bench    Performance benchmarks (engine events/sec, thermal solves/sec,

@@ -164,26 +164,6 @@ func (h *Hierarchy) L2Accesses() int64 { return h.st.L2Access }
 // Bus exposes the snooping bus (for utilization statistics).
 func (h *Hierarchy) Bus() *bus.Bus { return h.bus }
 
-// LineDigest folds every packed cache-line word — the whole L1 bank and
-// the L2 — into one FNV-1a value. Two hierarchies that executed the same
-// access sequence digest identically, so checkpoint round-trip tests use
-// it to verify a forked run rebuilt the exact cache state of a cold run.
-func (h *Hierarchy) LineDigest() uint64 {
-	const prime = 1099511628211
-	d := uint64(14695981039346656037)
-	mix := func(words []uint64) {
-		for _, w := range words {
-			d ^= w
-			d *= prime
-		}
-	}
-	// The bank's arrays interleave one shared backing slice; the first
-	// array's lines slice spans it entirely.
-	mix(h.l1d[0].lines)
-	mix(h.l2.lines)
-	return d
-}
-
 // Access performs a data access by core on behalf of the timing model.
 // now is the core's current absolute cycle; the return value is the cycle
 // at which the access completes. Coherence state changes take effect at

@@ -12,24 +12,6 @@ import (
 	"cmppower/internal/workload"
 )
 
-// batchSource is the fast-path extension of eventSource: it fills buf
-// with the next events (the exact sequence repeated Next calls would
-// deliver) and returns the count. Both engine sources implement it;
-// a source without it falls back to one Next call per refill.
-type batchSource interface {
-	NextBatch(buf []workload.Event) int
-}
-
-// windowSource is the zero-copy extension of batchSource: instead of
-// filling the caller's buffer it returns a read-only window of its own
-// storage, at most max events long. The checkpoint recorder and replay
-// sources implement it so recording writes each event to memory exactly
-// once (the engine consumes the log's own chunks) and replaying copies
-// nothing at all. The engine never mutates a window's contents.
-type windowSource interface {
-	NextWindow(max int) []workload.Event
-}
-
 // batchCap is the per-core event buffer length. Big enough that refill
 // overhead (and its cancellation poll) amortizes to noise, small enough
 // that per-run buffer allocation stays trivial.
@@ -41,31 +23,30 @@ const batchCap = 256
 // back into a stream.
 type runner struct {
 	src    eventSource
-	batch  batchSource  // nil when src cannot batch
-	win    windowSource // nil when src cannot hand out windows
 	buf    []workload.Event
 	pos, n int
 }
 
-// engine carries one run's mutable state through either core loop. The
-// two loops — runBatched (default) and runUnbatched (the seed's
+// engine carries one run's mutable state through the core loops. The
+// three loops — runFused (the default), runBatched (when tracing or
+// sampling observes the interleaving) and runUnbatched (the seed's
 // event-at-a-time reference path) — share every piece of event
 // semantics via handleSync and takeSample, so they can only diverge in
 // scheduling order, which the equivalence tests and doctor check 6 pin
 // to bit-identical.
 type engine struct {
-	cfg     Config
-	sources []eventSource
-	cores   []*cpu.Core
-	states  []coreState
-	sleep   []float64
-	hier    *cache.Hierarchy
-	barriers []*barrier
-	locks    []*lock
-	quorum   int
+	cfg       Config
+	sources   []eventSource
+	cores     []*cpu.Core
+	states    []coreState
+	sleep     []float64
+	hier      *cache.Hierarchy
+	barriers  []*barrier
+	locks     []*lock
+	quorum    int
 	maxEvents int64
-	ring     *traceRing
-	cancel   <-chan struct{}
+	ring      *traceRing
+	cancel    <-chan struct{}
 
 	events    int64
 	doneCount int
@@ -233,20 +214,7 @@ func (e *engine) refill(r *runner) error {
 		default:
 		}
 	}
-	switch {
-	case r.win != nil:
-		// Zero-copy path: point the runner at the source's own storage.
-		// The window is at most batchCap long, so the poll cadence and
-		// budget-trip granularity match the buffered path.
-		w := r.win.NextWindow(batchCap)
-		r.buf = w
-		r.n = len(w)
-	case r.batch != nil:
-		r.n = r.batch.NextBatch(r.buf)
-	default:
-		r.buf[0] = r.src.Next()
-		r.n = 1
-	}
+	r.n = r.src.NextBatch(r.buf)
 	r.pos = 0
 	return nil
 }
@@ -274,8 +242,6 @@ func (e *engine) runFused() error {
 	for i := range runners {
 		r := &runners[i]
 		r.src = e.sources[i]
-		r.batch, _ = e.sources[i].(batchSource)
-		r.win, _ = e.sources[i].(windowSource)
 		r.buf = make([]workload.Event, batchCap)
 	}
 	// keys[i] is core i's clock at its pending shared event — the seed's
@@ -440,8 +406,6 @@ func (e *engine) runBatched() error {
 	for i := range runners {
 		r := &runners[i]
 		r.src = e.sources[i]
-		r.batch, _ = e.sources[i].(batchSource)
-		r.win, _ = e.sources[i].(windowSource)
 		r.buf = make([]workload.Event, batchCap)
 	}
 	tracing := e.ring != nil

@@ -34,18 +34,7 @@ func (r *Rig) runDTMDomains(ctx context.Context, app splash.App, n int, req dvfs
 	if cfg.SampleCycles < 1 {
 		cfg.SampleCycles = 1
 	}
-	prog := app.Program(r.Scale)
-	if r.fork != nil && r.memoizable() {
-		prog = r.fork.program(app, r.Scale)
-		if cp := r.fork.peek(forkKey{app: app.Name, n: n, seed: seed, scale: r.Scale}); cp != nil &&
-			cp.CompatibleWith(prog, n, seed) == nil {
-			cfg.Replay = cp
-			r.Obs.VolatileCounter("sweep_fork_hits").Add(1)
-			r.Obs.VolatileHistogram("sweep_fork_distance_rungs", forkDistanceBounds).
-				Observe(rungDistance(r.Table, cp.Point(), req))
-		}
-	}
-	res, err := cmp.Run(prog, cfg)
+	res, err := cmp.Run(app.Program(r.Scale), cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"cmppower/internal/phys"
@@ -274,5 +275,52 @@ func TestQuantizedLadderCostsPerformance(t *testing.T) {
 	fMHz := rq.Rows[0].Point.Freq / 1e6
 	if fMHz != float64(int(fMHz/200))*200 {
 		t.Errorf("quantized point %g MHz not on the ladder", fMHz)
+	}
+}
+
+// TestCloneForScale pins the derived-rig contract: a rig cloned to a new
+// scale measures exactly what a freshly constructed rig at that scale
+// measures, and shares the base rig's caches and substrates.
+func TestCloneForScale(t *testing.T) {
+	base := testRig(t)
+	base.EnableMemo()
+
+	const scale = 0.08
+	derived, err := base.CloneForScale(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if derived.Scale != scale {
+		t.Fatalf("derived scale %g, want %g", derived.Scale, scale)
+	}
+	if derived.memo != base.memo {
+		t.Error("CloneForScale dropped the shared memo cache")
+	}
+	if derived.Meter != base.Meter || derived.TM != base.TM || derived.Table != base.Table {
+		t.Error("CloneForScale copied an immutable substrate")
+	}
+
+	fresh, err := NewRig(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 4} {
+		a, err := derived.RunApp(app(t, "FFT"), n, base.Table.Nominal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := fresh.RunApp(app(t, "FFT"), n, fresh.Table.Nominal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("n=%d: derived rig measurement differs from fresh rig:\n  %+v\n  %+v", n, a, b)
+		}
+	}
+
+	for _, bad := range []float64{0, -1, math.NaN()} {
+		if _, err := base.CloneForScale(bad); err == nil {
+			t.Errorf("CloneForScale accepted scale %g", bad)
+		}
 	}
 }

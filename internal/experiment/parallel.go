@@ -26,12 +26,6 @@ type SweepConfig struct {
 	// NoMemo disables the measurement memo cache for this sweep, forcing
 	// every baseline/profiling run to re-simulate.
 	NoMemo bool
-	// NoFork disables warm-state forking for this sweep: every run
-	// regenerates its workload event streams from scratch instead of
-	// replaying a completed neighbor's recorded logs. Outputs are
-	// bit-identical either way (doctor check 14); the flag exists for
-	// benchmarking and fault isolation.
-	NoFork bool
 }
 
 // workersOrDefault resolves the worker count.
@@ -93,9 +87,6 @@ func (r *Rig) sweepApps(ctx context.Context, kind string, apps []splash.App, cfg
 	rc := cfg.Retry.withDefaults()
 	if !cfg.NoMemo {
 		r.EnableMemo()
-	}
-	if !cfg.NoFork {
-		r.EnableFork()
 	}
 	workers := cfg.workersOrDefault()
 	results := make([]*SweepOutcome, len(apps))

@@ -18,7 +18,7 @@ import (
 // produces the paper's Table 1 apparatus; the baseline case is
 // bit-identical to NewCustomRig because every scenario→config conversion
 // below is exact at the defaults (200 MHz steps and 15.6 mm dies convert
-// to hertz and meters without rounding), pinned by doctor check 16.
+// to hertz and meters without rounding), pinned by doctor check 15.
 func NewRigFromScenario(sc *scenario.Scenario, scale float64) (*Rig, error) {
 	if sc == nil {
 		return NewRig(scale)

@@ -16,7 +16,7 @@
 //
 // The zero scenario plus Normalize is exactly the paper's chip; Baseline
 // returns it. The baseline reproduces the legacy flag-era outputs byte
-// for byte — pinned by doctor check 16 and the scenario smoke script.
+// for byte — pinned by doctor check 15 and the scenario smoke script.
 package scenario
 
 import (

@@ -72,7 +72,7 @@ type Config struct {
 	// SurrogateOff disables the surrogate fast path: no store is built,
 	// no runs train fits, and surrogate-mode requests always fall back to
 	// simulation. The zero value (surrogate on) changes nothing about
-	// exact-mode responses — doctor check 15 proves they stay
+	// exact-mode responses — doctor check 14 proves they stay
 	// byte-identical either way.
 	SurrogateOff bool
 	// Registry collects server and simulation metrics; nil allocates a

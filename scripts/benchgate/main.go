@@ -12,10 +12,10 @@
 // the reader.
 //
 // Schema 3 (pre-incremental-simulation), schema 8, and schema 9 reports
-// are all accepted; the sweep cold/warm ratio and the surrogate
-// exact/surrogate ratio are each gated only when baseline and current
-// both carry them, so an old baseline still gates the engine and
-// thermal ratios.
+// are all accepted; the surrogate exact/surrogate ratio is gated only
+// when baseline and current both carry it, so an old baseline still
+// gates the engine and thermal ratios. A baseline's "sweep" object (the
+// deleted warm-state fork benchmark of schemas 8 and 9) is ignored.
 package main
 
 import (
@@ -41,11 +41,6 @@ type report struct {
 	Fig3 struct {
 		Seconds float64 `json:"seconds"`
 	} `json:"fig3"`
-	Sweep struct {
-		ColdSeconds float64 `json:"cold_seconds"`
-		WarmSeconds float64 `json:"warm_seconds"`
-		Speedup     float64 `json:"speedup"`
-	} `json:"sweep"`
 	Surrogate struct {
 		ExactRPS     float64 `json:"exact_rps"`
 		SurrogateRPS float64 `json:"surrogate_rps"`
@@ -108,16 +103,6 @@ func main() {
 	row("thermal reference solves/s", base.Thermal.ReferenceSolvesPerSec, cur.Thermal.ReferenceSolvesPerSec)
 	row("thermal speedup [gated]", base.Thermal.Speedup, cur.Thermal.Speedup)
 	row("fig3 seconds", base.Fig3.Seconds, cur.Fig3.Seconds)
-	gateSweep := base.Sweep.Speedup > 0 && cur.Sweep.Speedup > 0
-	if cur.Sweep.Speedup > 0 {
-		row("sweep cold seconds", base.Sweep.ColdSeconds, cur.Sweep.ColdSeconds)
-		row("sweep warm seconds", base.Sweep.WarmSeconds, cur.Sweep.WarmSeconds)
-		name := "sweep speedup"
-		if gateSweep {
-			name += " [gated]"
-		}
-		row(name, base.Sweep.Speedup, cur.Sweep.Speedup)
-	}
 	gateSurrogate := base.Surrogate.Speedup > 0 && cur.Surrogate.Speedup > 0
 	if cur.Surrogate.Speedup > 0 {
 		row("surrogate exact rps", base.Surrogate.ExactRPS, cur.Surrogate.ExactRPS)
@@ -139,9 +124,6 @@ func main() {
 	}
 	gate("engine speedup", base.Engine.Speedup, cur.Engine.Speedup)
 	gate("thermal speedup", base.Thermal.Speedup, cur.Thermal.Speedup)
-	if gateSweep {
-		gate("sweep speedup", base.Sweep.Speedup, cur.Sweep.Speedup)
-	}
 	if gateSurrogate {
 		gate("surrogate speedup", base.Surrogate.Speedup, cur.Surrogate.Speedup)
 	}

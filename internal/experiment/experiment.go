@@ -16,6 +16,7 @@ import (
 	"cmppower/internal/dvfs"
 	"cmppower/internal/faults"
 	"cmppower/internal/floorplan"
+	"cmppower/internal/memo"
 	"cmppower/internal/obs"
 	"cmppower/internal/phys"
 	"cmppower/internal/power"
@@ -73,7 +74,7 @@ type Rig struct {
 	// run identity (see memoKey). Clones share their parent's cache, so a
 	// parallel sweep dedupes the baseline/profiling runs repeated within
 	// and across Scenario I and II. Enable with EnableMemo.
-	memo *memoCache
+	memo *memo.Cache[memoKey, *Measurement]
 
 	// Surrogate, when non-nil, receives every completed clean run (no
 	// fault injection, no DTM) as a training sample for the closed-form
@@ -265,7 +266,7 @@ func (r *Rig) RunAppSeeded(ctx context.Context, app splash.App, n int, p dvfs.Op
 		return nil, fmt.Errorf("experiment: %s does not run on %d cores", app.Name, n)
 	}
 	if r.memo != nil && r.memoizable() {
-		return r.memo.do(ctx, r.memoKeyFor(app.Name, n, p, seed), r.Obs, func() (*Measurement, error) {
+		return r.memoRun(ctx, r.memoKeyFor(app.Name, n, p, seed), func(ctx context.Context) (*Measurement, error) {
 			return r.runApp(ctx, app, n, p, seed)
 		})
 	}

@@ -1,13 +1,11 @@
 package experiment
 
 import (
-	"container/list"
 	"context"
 	"fmt"
-	"sync"
 
 	"cmppower/internal/dvfs"
-	"cmppower/internal/obs"
+	"cmppower/internal/memo"
 )
 
 // memoKey is the full identity of one simulated run: two runs with equal
@@ -85,8 +83,13 @@ func (r *Rig) EnableMemo() { r.EnableMemoBounded(DefaultMemoCapacity) }
 // least-recently-used completed entries are evicted once the bound is
 // reached, and an evicted run simply re-simulates on next request.
 func (r *Rig) EnableMemoBounded(capacity int) {
+	if capacity <= 0 {
+		capacity = DefaultMemoCapacity
+	}
 	if r.memo == nil {
-		r.memo = newMemoCache(capacity)
+		// Runs compute on a flight context of their own: a caller that
+		// gives up does not fail the others waiting on the same run.
+		r.memo = memo.New[memoKey, *Measurement](context.Background(), capacity)
 	}
 }
 
@@ -109,123 +112,36 @@ func (r *Rig) MemoStats() MemoStats {
 	if r.memo == nil {
 		return MemoStats{}
 	}
-	return r.memo.stats()
+	s := r.memo.Stats()
+	return MemoStats{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions,
+		Entries: s.Entries, Capacity: s.Capacity}
 }
 
-// memoEntry is one in-flight or completed cached run. ready is closed
-// once m/err are final; elem links the entry into the LRU list once it
-// has completed successfully (in-flight entries are never evicted).
-type memoEntry struct {
-	key   memoKey
-	ready chan struct{}
-	m     *Measurement
-	err   error
-	elem  *list.Element
-}
-
-// memoCache is a concurrency-safe, single-flight measurement cache with
-// an LRU bound: concurrent requests for the same key simulate once and
-// share the result, each caller receiving its own copy, and the
-// least-recently-used completed entries are evicted beyond capacity.
-type memoCache struct {
-	mu        sync.Mutex
-	capacity  int
-	m         map[memoKey]*memoEntry
-	ll        *list.List // completed entries, front = most recently used
-	hits      int64
-	misses    int64
-	evictions int64
-}
-
-func newMemoCache(capacity int) *memoCache {
-	if capacity <= 0 {
-		capacity = DefaultMemoCapacity
-	}
-	return &memoCache{capacity: capacity, m: make(map[memoKey]*memoEntry), ll: list.New()}
-}
-
-func (c *memoCache) stats() MemoStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return MemoStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Entries: len(c.m), Capacity: c.capacity}
-}
-
-// insert links a completed entry into the LRU and evicts past capacity.
+// memoRun returns the measurement for k from the memo, simulating it via
+// run on first request; every caller receives its own copy. Traffic is
+// mirrored into r.Obs (nil is free): the hit/miss split is deterministic
+// across worker counts because misses are exactly the distinct keys
+// requested and hits the remainder, regardless of which worker computed
+// what — provided the LRU bound never bites (see DefaultMemoCapacity).
 // Eviction order depends on completion order across workers, so the
-// eviction counter is published volatile; under the default capacity no
-// in-repo sweep evicts and the deterministic hit/miss split is unchanged.
-func (c *memoCache) insert(e *memoEntry, reg *obs.Registry) {
-	c.mu.Lock()
-	e.elem = c.ll.PushFront(e)
-	var evicted int64
-	for c.ll.Len() > c.capacity {
-		back := c.ll.Back()
-		v := back.Value.(*memoEntry)
-		c.ll.Remove(back)
-		delete(c.m, v.key)
-		v.elem = nil
-		evicted++
+// eviction counter and entry gauge are published volatile.
+func (r *Rig) memoRun(ctx context.Context, k memoKey, run func(context.Context) (*Measurement, error)) (*Measurement, error) {
+	m, res, err := r.memo.Do(ctx, k, run)
+	if res.Source == memo.Computed {
+		r.Obs.Counter("memo_misses_total").Add(1)
+	} else if err == nil {
+		r.Obs.Counter("memo_hits_total").Add(1)
 	}
-	c.evictions += evicted
-	entries := len(c.m)
-	c.mu.Unlock()
-	if evicted > 0 {
-		reg.VolatileCounter("memo_evictions_total").Add(evicted)
+	if res.Reporter {
+		if res.Evicted > 0 {
+			r.Obs.VolatileCounter("memo_evictions_total").Add(int64(res.Evicted))
+		}
+		r.Obs.VolatileGauge("memo_entries").Set(float64(res.Entries))
 	}
-	reg.VolatileGauge("memo_entries").Set(float64(entries))
-}
-
-// do returns the cached measurement for k, computing it via compute on
-// first request. Duplicate concurrent requests block until the first
-// completes (or their own context cancels). Errors are propagated to
-// every waiter but never cached: the entry is removed so a later request
-// re-simulates. Traffic is mirrored into reg (nil is free): the split is
-// deterministic across worker counts because misses are exactly the
-// distinct keys requested and hits the remainder, regardless of which
-// worker computed what — provided the LRU bound never bites (see
-// DefaultMemoCapacity).
-func (c *memoCache) do(ctx context.Context, k memoKey, reg *obs.Registry, compute func() (*Measurement, error)) (*Measurement, error) {
-	c.mu.Lock()
-	if e, ok := c.m[k]; ok {
-		c.mu.Unlock()
-		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if e.err != nil {
-			return nil, e.err
-		}
-		c.mu.Lock()
-		c.hits++
-		if e.elem != nil {
-			c.ll.MoveToFront(e.elem)
-		}
-		c.mu.Unlock()
-		reg.Counter("memo_hits_total").Add(1)
-		return e.m.clone(), nil
-	}
-	e := &memoEntry{key: k, ready: make(chan struct{})}
-	c.m[k] = e
-	c.misses++
-	c.mu.Unlock()
-	reg.Counter("memo_misses_total").Add(1)
-
-	m, err := compute()
 	if err != nil {
-		e.err = err
-		c.mu.Lock()
-		delete(c.m, k)
-		c.mu.Unlock()
-		close(e.ready)
 		return nil, err
 	}
-	// The cache keeps a pristine copy; the caller gets its own.
-	e.m = m.clone()
-	c.insert(e, reg)
-	close(e.ready)
-	return m, nil
+	return m.clone(), nil
 }
 
 // clone returns a deep copy of the measurement so cached values can never

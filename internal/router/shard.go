@@ -83,8 +83,8 @@ func (p *inprocShard) Shutdown(ctx context.Context) error {
 // does not own.
 type attachedProc struct{ url string }
 
-func (p attachedProc) URL() string                  { return p.url }
-func (p attachedProc) Kill()                        {}
+func (p attachedProc) URL() string                    { return p.url }
+func (p attachedProc) Kill()                          {}
 func (p attachedProc) Shutdown(context.Context) error { return nil }
 
 // shard is one slot of the fleet: a backend plus the router's view of it.

@@ -139,12 +139,12 @@ func TestLoadVaryField(t *testing.T) {
 		t.Fatalf("vary run not OK: %+v", res.Steps[0])
 	}
 	mu.Lock()
-	distinct := len(seen)
+	distinct, zero := len(seen), seen[0]
 	mu.Unlock()
 	if distinct < 2 {
 		t.Errorf("vary field produced %d distinct values, want >= 2", distinct)
 	}
-	if seen[0] {
+	if zero {
 		t.Error("a request went out with the unvaried zero seed")
 	}
 }

@@ -6,11 +6,11 @@
 //
 // The hot path is production-shaped (DESIGN.md §10):
 //
-//   - Coalescing: identical concurrent requests share one simulation via
-//     a singleflight keyed on the normalized request — the same identity
-//     the experiment memo cache keys on underneath.
-//   - Response cache: a size-bounded LRU of serialized 200 responses,
-//     layered over the (LRU-bounded) measurement memo cache.
+//   - Coalescing and response cache: one memo.Cache keyed on the
+//     normalized request — the same identity the experiment memo cache
+//     keys on underneath. Identical concurrent requests share one
+//     simulation, and an LRU bounded by entry count keeps the serialized
+//     200 responses, layered over the (LRU-bounded) measurement memo.
 //   - Admission control: a fixed simulation worker pool plus a bounded
 //     wait queue; overflow is rejected with 429 and a Retry-After
 //     estimate derived from the observed run-duration EWMA.
@@ -39,6 +39,7 @@ import (
 	"cmppower/internal/experiment"
 	"cmppower/internal/explore"
 	"cmppower/internal/faults"
+	"cmppower/internal/memo"
 	"cmppower/internal/obs"
 	"cmppower/internal/scenario"
 	"cmppower/internal/surrogate"
@@ -112,13 +113,12 @@ func (c Config) withDefaults() Config {
 // Server is the HTTP serving layer. Create with New, mount via Handler
 // (or Serve/ListenAndServe), stop with Shutdown.
 type Server struct {
-	cfg     Config
-	reg     *obs.Registry
-	adm     *admission
-	flights *flightGroup
-	cache   *lruCache
-	rigs    *rigPool
-	surr    *surrogate.Store
+	cfg   Config
+	reg   *obs.Registry
+	adm   *admission
+	cache *memo.Cache[string, *response]
+	rigs  *rigPool
+	surr  *surrogate.Store
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -146,8 +146,7 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		reg:        cfg.Registry,
 		adm:        newAdmission(cfg.Workers, cfg.QueueDepth),
-		flights:    newFlightGroup(),
-		cache:      newLRUCache(cfg.CacheEntries),
+		cache:      memo.New[string, *response](ctx, cfg.CacheEntries),
 		rigs:       newRigPool(cfg.Registry, cfg.MemoCapacity, surr),
 		surr:       surr,
 		baseCtx:    ctx,
@@ -396,70 +395,49 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 // admission → compute. compute runs on the flight's context (derived
 // from the server base context plus the request timeout), so it survives
 // any individual client's disconnect while at least one request still
-// wants the answer.
+// wants the answer; the flight is cancelled once every request has gone.
 func (s *Server) serveCoalesced(w http.ResponseWriter, r *http.Request, key string, compute func(context.Context) (*response, error)) {
-	if resp, ok := s.cache.get(key); ok {
+	resp, res, err := s.cache.Do(r.Context(), key, func(ctx context.Context) (*response, error) {
+		s.reg.VolatileGauge("server_queue_depth").Set(float64(s.adm.queued.Load()))
+		release, err := s.adm.acquire(ctx)
+		if err != nil {
+			if _, ok := retryAfterHeader(err); ok {
+				s.reg.VolatileCounter("server_admission_rejected_total").Add(1)
+			}
+			return nil, err
+		}
+		defer release()
+		s.reg.VolatileCounter("server_computations_total").Add(1)
+		if s.testLeaderGate != nil {
+			<-s.testLeaderGate
+		}
+		ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
+		defer cancel()
+		start := time.Now()
+		resp, err := compute(ctx)
+		s.adm.observe(time.Since(start))
+		return resp, err
+	})
+	switch res.Source {
+	case memo.Hit:
 		s.reg.VolatileCounter("server_cache_hits_total").Add(1)
-		s.writeResponse(w, resp)
-		return
-	}
-	s.reg.VolatileCounter("server_cache_misses_total").Add(1)
-
-	f, leader := s.flights.join(s.baseCtx, key)
-	defer s.flights.leave(key, f)
-	if leader {
-		go s.lead(key, f, compute)
-	} else {
+	case memo.Joined:
 		s.reg.VolatileCounter("server_coalesced_total").Add(1)
 	}
-	select {
-	case <-f.done:
-		if f.err != nil {
-			s.writeComputeError(w, r, f.err)
-			return
-		}
-		s.writeResponse(w, f.resp)
-	case <-r.Context().Done():
-		// This client gave up (disconnect or deadline); the flight keeps
-		// running for any remaining waiters — leave() handles the
-		// nobody-left cancellation.
-		s.writeComputeError(w, r, r.Context().Err())
+	if res.Source != memo.Hit {
+		s.reg.VolatileCounter("server_cache_misses_total").Add(1)
 	}
-}
-
-// lead runs one flight to completion: admission, the per-request
-// deadline, the computation, and publication into the response cache.
-func (s *Server) lead(key string, f *flight, compute func(context.Context) (*response, error)) {
-	s.reg.VolatileGauge("server_queue_depth").Set(float64(s.adm.queued.Load()))
-	release, err := s.adm.acquire(f.ctx)
-	if err != nil {
-		if _, ok := retryAfterHeader(err); ok {
-			s.reg.VolatileCounter("server_admission_rejected_total").Add(1)
+	if res.Reporter {
+		if res.Evicted > 0 {
+			s.reg.VolatileCounter("server_cache_evictions_total").Add(int64(res.Evicted))
 		}
-		s.flights.finish(key, f, nil, err)
+		s.reg.VolatileGauge("server_cache_entries").Set(float64(res.Entries))
+	}
+	if err != nil {
+		s.writeComputeError(w, r, err)
 		return
 	}
-	defer release()
-	s.reg.VolatileCounter("server_computations_total").Add(1)
-	if s.testLeaderGate != nil {
-		<-s.testLeaderGate
-	}
-	ctx, cancel := context.WithTimeout(f.ctx, s.cfg.RequestTimeout)
-	defer cancel()
-	start := time.Now()
-	resp, err := compute(ctx)
-	s.adm.observe(time.Since(start))
-	if err != nil {
-		s.flights.finish(key, f, nil, err)
-		return
-	}
-	if resp.status == http.StatusOK {
-		if evicted := s.cache.put(key, resp); evicted > 0 {
-			s.reg.VolatileCounter("server_cache_evictions_total").Add(int64(evicted))
-		}
-		s.reg.VolatileGauge("server_cache_entries").Set(float64(s.cache.len()))
-	}
-	s.flights.finish(key, f, resp, nil)
+	s.writeResponse(w, resp)
 }
 
 // computeRun executes one RunRequest on the (scale, chip) pooled rig.
@@ -593,6 +571,13 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 		body = []byte(`{"error":"internal"}`)
 	}
 	s.writeResponse(w, &response{status: status, body: body})
+}
+
+// response is a fully materialized HTTP payload, shareable byte-for-byte
+// between coalesced waiters and cache hits.
+type response struct {
+	status int
+	body   []byte
 }
 
 // writeResponse writes a materialized response and counts its class.

@@ -261,7 +261,7 @@ func TestCoalescing(t *testing.T) {
 
 	// All clients must be joined on the one flight before the leader may
 	// compute.
-	waitFor(t, "all clients coalesced", func() bool { return s.flights.refsOf(key) == clients })
+	waitFor(t, "all clients coalesced", func() bool { return s.cache.Waiters(key) == clients })
 	close(s.testLeaderGate)
 	wg.Wait()
 
@@ -465,35 +465,5 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if err := <-serveErr; err != nil {
 		t.Errorf("Serve after shutdown: %v", err)
-	}
-}
-
-// TestResponseCacheLRU pins the response cache's bound and eviction
-// accounting at the unit level.
-func TestResponseCacheLRU(t *testing.T) {
-	c := newLRUCache(2)
-	r := func(s string) *response { return &response{status: 200, body: []byte(s)} }
-	c.put("a", r("a"))
-	c.put("b", r("b"))
-	if _, ok := c.get("a"); !ok { // refresh a → b is now LRU
-		t.Fatal("a missing")
-	}
-	if ev := c.put("c", r("c")); ev != 1 {
-		t.Errorf("evicted %d, want 1", ev)
-	}
-	if _, ok := c.get("b"); ok {
-		t.Error("b survived eviction; LRU order wrong")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Error("a evicted despite recent use")
-	}
-	if c.len() != 2 {
-		t.Errorf("len %d, want 2", c.len())
-	}
-	// Disabled cache is inert.
-	d := newLRUCache(-1)
-	d.put("x", r("x"))
-	if _, ok := d.get("x"); ok || d.len() != 0 {
-		t.Error("disabled cache stored an entry")
 	}
 }

@@ -105,11 +105,15 @@ func runDoctor(args []string) error {
 	return nil
 }
 
-// checkBatchedEngine runs a smoke workload through the batched fast path
+// checkBatchedEngine runs smoke workloads through the fused fast path
 // and the event-at-a-time reference loop and requires identical results —
 // the fast path's bit-identity guarantee, self-verifying in the field.
 // The workload deliberately mixes compute, memory, barriers, and critical
 // sections (FFT has all four) at a core count where arbitration matters.
+// It runs twice: unobserved, where the fused loop drains compute events
+// eagerly, and observed (interval sampling plus tracing), where it
+// arbitrates every event and must reproduce the reference's samples and
+// trace too.
 func checkBatchedEngine() error {
 	app, err := cmppower.AppByName("FFT")
 	if err != nil {
@@ -119,26 +123,40 @@ func checkBatchedEngine() error {
 	if err != nil {
 		return err
 	}
-	run := func(unbatched bool) (*cmppower.SimResult, error) {
+	run := func(unbatched, observed bool) (*cmppower.SimResult, error) {
 		cfg := cmppower.DefaultSimConfig(4, tab.Nominal())
 		cfg.Core = app.CoreConfig()
 		cfg.Unbatched = unbatched
+		if observed {
+			cfg.SampleCycles = 5_000
+			cfg.TraceLast = 4096
+		}
 		return cmppower.Simulate(app.Program(0.1), cfg)
 	}
-	fast, err := run(false)
-	if err != nil {
-		return err
-	}
-	ref, err := run(true)
-	if err != nil {
-		return err
-	}
-	if fast.Cycles != ref.Cycles || fast.Instructions != ref.Instructions ||
-		!reflect.DeepEqual(fast.PerCore, ref.PerCore) ||
-		!reflect.DeepEqual(fast.Activity, ref.Activity) ||
-		!reflect.DeepEqual(fast.CacheStats, ref.CacheStats) {
-		return fmt.Errorf("batched engine diverged: %g cyc / %d instr vs %g cyc / %d instr",
-			fast.Cycles, fast.Instructions, ref.Cycles, ref.Instructions)
+	for _, observed := range []bool{false, true} {
+		fast, err := run(false, observed)
+		if err != nil {
+			return err
+		}
+		ref, err := run(true, observed)
+		if err != nil {
+			return err
+		}
+		if fast.Cycles != ref.Cycles || fast.Instructions != ref.Instructions ||
+			!reflect.DeepEqual(fast.PerCore, ref.PerCore) ||
+			!reflect.DeepEqual(fast.Activity, ref.Activity) ||
+			!reflect.DeepEqual(fast.CacheStats, ref.CacheStats) {
+			return fmt.Errorf("batched engine diverged (observed=%t): %g cyc / %d instr vs %g cyc / %d instr",
+				observed, fast.Cycles, fast.Instructions, ref.Cycles, ref.Instructions)
+		}
+		if observed && (len(ref.Samples) < 2 || len(ref.Trace) == 0) {
+			return fmt.Errorf("observed smoke run recorded %d samples and %d trace events; nothing to compare",
+				len(ref.Samples), len(ref.Trace))
+		}
+		if !reflect.DeepEqual(fast.Samples, ref.Samples) || !reflect.DeepEqual(fast.Trace, ref.Trace) {
+			return fmt.Errorf("batched engine diverged (observed=%t): %d samples / %d trace events vs %d / %d",
+				observed, len(fast.Samples), len(fast.Trace), len(ref.Samples), len(ref.Trace))
+		}
 	}
 	return nil
 }

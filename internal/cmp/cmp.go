@@ -84,9 +84,9 @@ type Config struct {
 	// Nil contexts cost nothing.
 	Ctx context.Context
 	// Unbatched selects the reference event-at-a-time core loop instead
-	// of the batched fast path. The two produce bit-identical results
-	// (engine equivalence tests; doctor check 6); the reference path
-	// exists to prove that and to baseline benchmarks.
+	// of the fused fast path. The two produce bit-identical results
+	// (engine equivalence tests; doctor check 10, exit code 6); the
+	// reference path exists to prove that and to baseline benchmarks.
 	Unbatched bool
 	// CacheFault forwards a transient-error hook into the cache hierarchy
 	// (see cache.FaultHook and internal/faults). Nil injects nothing.
@@ -334,7 +334,54 @@ func (j *jobAdapter) NextBatch(buf []workload.Event) int {
 // that releases a barrier (NCores for a parallel program, 1 for
 // multiprogramming).
 func runEngine(cfg Config, sources []eventSource, nBarriers, nLocks, barrierQuorum int) (*Result, error) {
+	e, err := newEngine(cfg, sources, nBarriers, nLocks, barrierQuorum)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Unbatched {
+		err = e.runUnbatched()
+	} else {
+		err = e.runFused()
+	}
+	if err != nil {
+		return nil, err
+	}
+	cores, hier := e.cores, e.hier
+	if cfg.SampleCycles > 0 {
+		// Close the final partial interval.
+		for _, c := range cores {
+			if c.Clock() > e.watermark {
+				e.watermark = c.Clock()
+			}
+		}
+		e.takeSample()
+	}
 
+	// Assemble the result.
+	res := &Result{Point: cfg.Point, NCores: cfg.NCores, Samples: e.samples, Events: e.events}
+	if e.ring != nil {
+		res.Trace = e.ring.events()
+	}
+	res.CacheStats = hier.Stats()
+	perCore := make([]cpu.Stats, cfg.NCores)
+	for i, core := range cores {
+		perCore[i] = core.Stats()
+		if perCore[i].FinishClock > res.Cycles {
+			res.Cycles = perCore[i].FinishClock
+		}
+	}
+	res.PerCore = perCore
+	res.Activity, res.Instructions = collectActivity(cores, perCore, hier, cfg.TotalCores, e.sleep)
+	res.Seconds = res.Cycles / cfg.Point.Freq
+	res.BusUtilization = hier.Bus().Utilization(res.Cycles)
+	res.MemUtilization = e.dram.Utilization(res.Seconds)
+	publishMetrics(cfg.Metrics, res, hier, e.dram)
+	return res, nil
+}
+
+// newEngine builds the chip — memory channel, cache hierarchy, cores,
+// barriers and locks — and the engine state that drives sources over it.
+func newEngine(cfg Config, sources []eventSource, nBarriers, nLocks, barrierQuorum int) (*engine, error) {
 	memLat := cfg.MemLatencySec
 	if memLat == 0 {
 		memLat = 75e-9
@@ -410,63 +457,21 @@ func runEngine(cfg Config, sources []eventSource, nBarriers, nLocks, barrierQuor
 	if cfg.Ctx != nil {
 		cancel = cfg.Ctx.Done()
 	}
-	e := &engine{
+	return &engine{
 		cfg:       cfg,
 		sources:   sources,
 		cores:     cores,
 		states:    states,
 		sleep:     sleepCycles,
 		hier:      hier,
+		dram:      dram,
 		barriers:  barriers,
 		locks:     locks,
 		quorum:    barrierQuorum,
 		maxEvents: maxEvents,
 		ring:      ring,
 		cancel:    cancel,
-	}
-	switch {
-	case cfg.Unbatched:
-		err = e.runUnbatched()
-	case cfg.TraceLast > 0 || cfg.SampleCycles > 0:
-		// Tracing and interval sampling observe the event interleaving,
-		// so they need the exact-order batched loop.
-		err = e.runBatched()
-	default:
-		err = e.runFused()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if cfg.SampleCycles > 0 {
-		// Close the final partial interval.
-		for _, c := range cores {
-			if c.Clock() > e.watermark {
-				e.watermark = c.Clock()
-			}
-		}
-		e.takeSample()
-	}
-
-	// Assemble the result.
-	res := &Result{Point: cfg.Point, NCores: cfg.NCores, Samples: e.samples, Events: e.events}
-	if ring != nil {
-		res.Trace = ring.events()
-	}
-	res.CacheStats = hier.Stats()
-	perCore := make([]cpu.Stats, cfg.NCores)
-	for i, core := range cores {
-		perCore[i] = core.Stats()
-		if perCore[i].FinishClock > res.Cycles {
-			res.Cycles = perCore[i].FinishClock
-		}
-	}
-	res.PerCore = perCore
-	res.Activity, res.Instructions = collectActivity(cores, perCore, hier, cfg.TotalCores, sleepCycles)
-	res.Seconds = res.Cycles / cfg.Point.Freq
-	res.BusUtilization = hier.Bus().Utilization(res.Cycles)
-	res.MemUtilization = dram.Utilization(res.Seconds)
-	publishMetrics(cfg.Metrics, res, hier, dram)
-	return res, nil
+	}, nil
 }
 
 // collectActivity merges the cores' unit counters with the hierarchy's

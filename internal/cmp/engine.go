@@ -8,6 +8,7 @@ import (
 	"cmppower/internal/cache"
 	"cmppower/internal/cpu"
 	"cmppower/internal/floorplan"
+	"cmppower/internal/mem"
 	"cmppower/internal/power"
 	"cmppower/internal/workload"
 )
@@ -28,12 +29,11 @@ type runner struct {
 }
 
 // engine carries one run's mutable state through the core loops. The
-// three loops — runFused (the default), runBatched (when tracing or
-// sampling observes the interleaving) and runUnbatched (the seed's
-// event-at-a-time reference path) — share every piece of event
-// semantics via handleSync and takeSample, so they can only diverge in
-// scheduling order, which the equivalence tests and doctor check 6 pin
-// to bit-identical.
+// two loops — runFused (the production path) and runUnbatched (the
+// seed's event-at-a-time reference) — share every piece of event
+// semantics via handleSync and observe, so they can only diverge in
+// scheduling order, which the equivalence tests and doctor check 10
+// (exit code 6) pin to bit-identical.
 type engine struct {
 	cfg       Config
 	sources   []eventSource
@@ -41,6 +41,7 @@ type engine struct {
 	states    []coreState
 	sleep     []float64
 	hier      *cache.Hierarchy
+	dram      *mem.DRAM
 	barriers  []*barrier
 	locks     []*lock
 	quorum    int
@@ -55,12 +56,17 @@ type engine struct {
 	samples   []Sample
 	smp       sampler
 	// wake collects cores made runnable by the last handleSync call; the
-	// batched loop pushes them into the heap after restoring root order.
+	// fused loop advances each of them to its next pending event.
 	wake []int
 }
 
 func (e *engine) cancelErr() error {
 	return fmt.Errorf("cmp: run cancelled after %d events: %w", e.events, e.cfg.Ctx.Err())
+}
+
+// budgetErr reports the MaxEvents budget tripping.
+func (e *engine) budgetErr() error {
+	return fmt.Errorf("cmp: event budget %d exhausted; runaway program?", e.maxEvents)
 }
 
 var errDeadlock = errors.New("cmp: deadlock — no runnable core (unbalanced barriers or locks?)")
@@ -168,7 +174,7 @@ func (e *engine) runUnbatched() error {
 		}
 		e.events++
 		if e.events > e.maxEvents {
-			return fmt.Errorf("cmp: event budget %d exhausted; runaway program?", e.maxEvents)
+			return e.budgetErr()
 		}
 		core := e.cores[pick]
 		ev := e.sources[pick].Next()
@@ -187,24 +193,35 @@ func (e *engine) runUnbatched() error {
 				continue
 			}
 		}
-		if e.ring != nil {
-			e.ring.push(TraceEvent{
-				Cycle: core.Clock(), Core: pick, Kind: ev.Kind,
-				N: int(ev.N), Addr: ev.Addr, ID: int(ev.ID),
-			})
-		}
-		if c := core.Clock(); c > e.watermark {
-			e.watermark = c
-		}
-		if e.cfg.SampleCycles > 0 && e.watermark >= e.lastMark+e.cfg.SampleCycles {
-			e.takeSample()
-		}
+		e.observe(pick, &ev)
 	}
 	return nil
 }
 
+// observe is the per-event postlude of an observed run: it records the
+// event just executed by core pick into the trace ring, raises the
+// watermark to the core's clock, and closes an interval sample once the
+// watermark has crossed the next mark. Both loops call it after every
+// event but a non-final barrier arrival, in the same global order, so
+// traces and samples match between them bit for bit.
+func (e *engine) observe(pick int, ev *workload.Event) {
+	c := e.cores[pick].Clock()
+	if e.ring != nil {
+		e.ring.push(TraceEvent{
+			Cycle: c, Core: pick, Kind: ev.Kind,
+			N: int(ev.N), Addr: ev.Addr, ID: int(ev.ID),
+		})
+	}
+	if c > e.watermark {
+		e.watermark = c
+	}
+	if e.cfg.SampleCycles > 0 && e.watermark >= e.lastMark+e.cfg.SampleCycles {
+		e.takeSample()
+	}
+}
+
 // refill loads the next batch of events for r. It doubles as the
-// batched loop's cancellation poll: at most batchCap events run between
+// fused loop's cancellation poll: at most batchCap events run between
 // polls, comfortably within the "one simulation step" abort contract.
 func (e *engine) refill(r *runner) error {
 	if e.cancel != nil {
@@ -219,32 +236,38 @@ func (e *engine) refill(r *runner) error {
 	return nil
 }
 
-// runFused is the fastest path, used when neither tracing nor sampling
-// observes the event interleaving. It rests on a commutation argument:
-// a compute event mutates only its own core's private state (clock,
-// stats, unit counters), so the relative order in which different
-// cores' compute events execute cannot affect any result. The only
-// cross-core coupling flows through shared structures — the bus, the
-// caches, DRAM, locks, and barriers — whose mutation order and request
-// times must match the seed engine exactly. A core's shared event
-// executes, in the seed schedule, when its pre-event clock is the
+// runFused is the production core loop. It rests on a commutation
+// argument: a compute event mutates only its own core's private state
+// (clock, stats, unit counters), so the relative order in which
+// different cores' compute events execute cannot affect any result. The
+// only cross-core coupling flows through shared structures — the bus,
+// the caches, DRAM, locks, and barriers — whose mutation order and
+// request times must match the seed engine exactly. A core's shared
+// event executes, in the seed schedule, when its pre-event clock is the
 // minimum (clock, id) among runnable cores, and that clock is a pure
-// function of the core's own preceding events. runFused therefore
-// drains each core's compute events eagerly (charging them on the spot)
-// and arbitrates between cores only at memory and synchronization
-// events, ordered by exactly that key. Completed runs are bit-identical
-// to the seed; only the internal event numbering differs, which is
-// observable solely through which event trips the MaxEvents budget or a
+// function of the core's own preceding events. Unobserved runs therefore
+// drain each core's compute events eagerly (charging them on the spot)
+// and arbitrate between cores only at memory and synchronization events,
+// ordered by exactly that key. Completed runs are bit-identical to the
+// seed; only the internal event numbering differs, which is observable
+// solely through which event trips the MaxEvents budget or a
 // cancellation — both already error paths.
+//
+// Tracing and interval sampling observe the interleaving itself, so an
+// observed run arbitrates every event, compute included, under the same
+// key: it executes events in exactly the reference loop's order and runs
+// the observe postlude after each. The only cost to unobserved runs is
+// one loop-invariant branch in the drain.
 func (e *engine) runFused() error {
 	nCores := e.cfg.NCores
+	observing := e.ring != nil || e.cfg.SampleCycles > 0
 	runners := make([]runner, nCores)
 	for i := range runners {
 		r := &runners[i]
 		r.src = e.sources[i]
 		r.buf = make([]workload.Event, batchCap)
 	}
-	// keys[i] is core i's clock at its pending shared event — the seed's
+	// keys[i] is core i's clock at its pending event — the seed's
 	// scheduling key for that event — stored as math.Float64bits, which
 	// preserves ordering for non-negative floats and lets the arg-min
 	// scan run on plain integer compares. Blocked and finished cores park
@@ -263,18 +286,20 @@ func (e *engine) runFused() error {
 	for i := nCores; i < nk; i++ {
 		keys[i] = infKey
 	}
-	// pend[i] is a copy of core i's pending shared event. The copy is made
-	// while the batch buffer entry is still warm from the kind check; by
-	// the time the core wins arbitration, arbitrarily many other cores have
+	// pend[i] is a copy of core i's pending event. The copy is made while
+	// the batch buffer entry is still warm from the kind check; by the
+	// time the core wins arbitration, arbitrarily many other cores have
 	// run and the buffer entry has usually left the host's cache, while
 	// this compact array stays hot.
 	pend := make([]workload.Event, nCores)
-	// advance executes core i's compute events up to its next shared
-	// event (consumed from the batch into pend[i]) and refreshes the
-	// key. The event budget is charged per
-	// drained segment rather than per event; a runaway program can
-	// overshoot the budget by at most one batch before the error trips,
-	// which only shifts where an already-failing run fails.
+	// advance moves core i up to its next arbitrated event (consumed from
+	// the batch into pend[i]) and refreshes the key: every event when
+	// observing, otherwise the next shared event, executing the compute
+	// events before it. The event budget is charged per drained segment
+	// rather than per event; a runaway unobserved program can overshoot
+	// the budget by at most one batch before the error trips, which only
+	// shifts where an already-failing run fails. Observed runs drain
+	// nothing here, so they trip at the reference loop's event.
 	advance := func(i int) error {
 		r := &runners[i]
 		core := e.cores[i]
@@ -287,11 +312,11 @@ func (e *engine) runFused() error {
 			buf := r.buf[r.pos:r.n]
 			for idx := range buf {
 				ev := &buf[idx]
-				if ev.Kind != workload.EvCompute {
+				if ev.Kind != workload.EvCompute || observing {
 					r.pos += idx + 1
 					e.events += int64(idx)
 					if e.events > e.maxEvents {
-						return fmt.Errorf("cmp: event budget %d exhausted; runaway program?", e.maxEvents)
+						return e.budgetErr()
 					}
 					pend[i] = *ev
 					keys[i] = math.Float64bits(core.Clock())
@@ -301,7 +326,7 @@ func (e *engine) runFused() error {
 			}
 			e.events += int64(len(buf))
 			if e.events > e.maxEvents {
-				return fmt.Errorf("cmp: event budget %d exhausted; runaway program?", e.maxEvents)
+				return e.budgetErr()
 			}
 			r.pos = r.n
 		}
@@ -311,11 +336,11 @@ func (e *engine) runFused() error {
 			return err
 		}
 	}
-	states := e.states
 	// live counts unparked cores (keys[i] != infKey). When exactly one
 	// core is live — serial sections, the tail of a barrier — the arg-min
 	// is trivially the previous winner as long as it has not parked, so
-	// the scan is skipped entirely for the whole single-threaded stretch.
+	// the scan is skipped entirely for the whole single-threaded stretch
+	// and runSolo executes its compute and memory events in place.
 	live := nCores
 	pick := -1
 	for e.doneCount < nCores {
@@ -346,167 +371,78 @@ func (e *engine) runFused() error {
 		ev := &pend[pick]
 		e.events++
 		if e.events > e.maxEvents {
-			return fmt.Errorf("cmp: event budget %d exhausted; runaway program?", e.maxEvents)
+			return e.budgetErr()
 		}
-		if ev.Kind == workload.EvLoad || ev.Kind == workload.EvStore {
+		switch ev.Kind {
+		case workload.EvLoad, workload.EvStore:
 			e.cores[pick].ExecLoadStore(ev.Addr, ev.Kind == workload.EvStore, e.hier)
-			if err := advance(pick); err != nil {
+		case workload.EvCompute:
+			// Pending only while observing; the unobserved drain executes
+			// compute events eagerly.
+			e.cores[pick].ExecComputeBurst(int(ev.N), int(ev.FP), int(ev.Branches))
+		default:
+			e.wake = e.wake[:0]
+			runnable, skipPost, err := e.handleSync(pick, *ev)
+			if err != nil {
 				return err
+			}
+			if observing && !skipPost {
+				e.observe(pick, ev)
+			}
+			if runnable {
+				if err := advance(pick); err != nil {
+					return err
+				}
+			} else {
+				keys[pick] = infKey
+				live--
+			}
+			live += len(e.wake)
+			for _, w := range e.wake {
+				if err := advance(w); err != nil {
+					return err
+				}
 			}
 			continue
 		}
-		e.wake = e.wake[:0]
-		if _, _, err := e.handleSync(pick, *ev); err != nil {
+		if observing {
+			e.observe(pick, ev)
+		}
+		if live == 1 {
+			if err := e.runSolo(pick, &runners[pick], observing); err != nil {
+				return err
+			}
+		}
+		if err := advance(pick); err != nil {
 			return err
-		}
-		if states[pick] == stRunnable {
-			if err := advance(pick); err != nil {
-				return err
-			}
-		} else {
-			keys[pick] = infKey
-			live--
-		}
-		live += len(e.wake)
-		for _, w := range e.wake {
-			if err := advance(w); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
 }
 
-// runBatched is the fast path for runs that observe the interleaving
-// (tracing or sampling on). Scheduling invariant: the winner of the
-// seed's scan is the minimum of (clock, id) over runnable cores, and a
-// compute/memory event only advances the executing core's clock — it
-// never mutates another core's state or clock. So the current winner
-// may keep executing consecutive compute/memory events, without any
-// global re-pick, for as long as it would keep winning: while its clock
-// stays below the runner-up's clock (or equal with a smaller id). The
-// runner-up bound — the horizon — is constant during such a run because
-// nobody else moves. Synchronization events go through the shared
-// handleSync slow path and force a re-pick, exactly reproducing the
-// seed's global ordering of every shared-resource interaction.
-//
-// One pass over a contiguous clock mirror finds both the winner and the
-// horizon; at realistic core counts that beats an index structure, whose
-// pointer-chasing comparisons cost more than they save, and it amortizes
-// to nothing over a multi-event run. The mirror is refreshed at the only
-// points clocks move: when the picked core's run ends and when handleSync
-// advances woken cores.
-func (e *engine) runBatched() error {
-	nCores := e.cfg.NCores
-	clocks := make([]float64, nCores)
-	for i, c := range e.cores {
-		clocks[i] = c.Clock()
-	}
-	runners := make([]runner, nCores)
-	for i := range runners {
-		r := &runners[i]
-		r.src = e.sources[i]
-		r.buf = make([]workload.Event, batchCap)
-	}
-	tracing := e.ring != nil
-	sampleEvery := e.cfg.SampleCycles
-	// track gates the per-event postlude; with tracing and sampling off,
-	// the watermark is unobservable and need not be maintained per event.
-	track := tracing || sampleEvery > 0
-	states := e.states
-repick:
-	for e.doneCount < nCores {
-		// One scan: the minimum (clock, id) is the pick, the runner-up is
-		// the horizon. Ascending ids make "strictly less" the (clock, id)
-		// lexicographic order.
-		best, horizon := math.Inf(1), math.Inf(1)
-		pick, horizonID := -1, -1
-		for i, st := range states {
-			if st != stRunnable {
-				continue
-			}
-			if c := clocks[i]; c < best {
-				best, horizon = c, best
-				pick, horizonID = i, pick
-			} else if c < horizon {
-				horizon, horizonID = c, i
-			}
+// runSolo executes core pick's buffered compute and memory events in
+// place while it is the only live core: no other core can win an
+// arbitration before pick's next synchronization event, so the pend/key
+// round trip through the main loop buys nothing. It stops at that event
+// or at the end of the batch, both left to advance.
+func (e *engine) runSolo(pick int, r *runner, observing bool) error {
+	core := e.cores[pick]
+	for ; r.pos < r.n; r.pos++ {
+		ev := &r.buf[r.pos]
+		if ev.Kind != workload.EvCompute && ev.Kind != workload.EvLoad && ev.Kind != workload.EvStore {
+			return nil
 		}
-		if pick < 0 {
-			return errDeadlock
+		e.events++
+		if e.events > e.maxEvents {
+			return e.budgetErr()
 		}
-		core := e.cores[pick]
-		r := &runners[pick]
-		for {
-			if r.pos == r.n {
-				if err := e.refill(r); err != nil {
-					return err
-				}
-			}
-			buf := r.buf[r.pos:r.n]
-			for idx := range buf {
-				ev := &buf[idx]
-				e.events++
-				if e.events > e.maxEvents {
-					return fmt.Errorf("cmp: event budget %d exhausted; runaway program?", e.maxEvents)
-				}
-				switch ev.Kind {
-				case workload.EvCompute:
-					core.ExecCompute(*ev)
-				case workload.EvLoad, workload.EvStore:
-					core.ExecMem(*ev, e.hier)
-				default:
-					// Sync slow path: execute, refresh the clock mirror for
-					// every core the event may have moved, then re-pick —
-					// woken cores can beat the current one.
-					r.pos += idx + 1
-					e.wake = e.wake[:0]
-					_, skipPost, err := e.handleSync(pick, *ev)
-					if err != nil {
-						return err
-					}
-					if !skipPost {
-						if tracing {
-							e.ring.push(TraceEvent{
-								Cycle: core.Clock(), Core: pick, Kind: ev.Kind,
-								N: int(ev.N), Addr: ev.Addr, ID: int(ev.ID),
-							})
-						}
-						if c := core.Clock(); c > e.watermark {
-							e.watermark = c
-						}
-						if sampleEvery > 0 && e.watermark >= e.lastMark+sampleEvery {
-							e.takeSample()
-						}
-					}
-					clocks[pick] = core.Clock()
-					for _, w := range e.wake {
-						clocks[w] = e.cores[w].Clock()
-					}
-					continue repick
-				}
-				if track {
-					if tracing {
-						e.ring.push(TraceEvent{
-							Cycle: core.Clock(), Core: pick, Kind: ev.Kind,
-							N: int(ev.N), Addr: ev.Addr, ID: int(ev.ID),
-						})
-					}
-					if c := core.Clock(); c > e.watermark {
-						e.watermark = c
-					}
-					if sampleEvery > 0 && e.watermark >= e.lastMark+sampleEvery {
-						e.takeSample()
-					}
-				}
-				c := core.Clock()
-				if c > horizon || (c == horizon && pick > horizonID) {
-					r.pos += idx + 1
-					clocks[pick] = c
-					continue repick
-				}
-			}
-			r.pos = r.n
+		if ev.Kind == workload.EvCompute {
+			core.ExecComputeBurst(int(ev.N), int(ev.FP), int(ev.Branches))
+		} else {
+			core.ExecLoadStore(ev.Addr, ev.Kind == workload.EvStore, e.hier)
+		}
+		if observing {
+			e.observe(pick, ev)
 		}
 	}
 	return nil

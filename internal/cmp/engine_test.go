@@ -18,6 +18,7 @@ import (
 //
 //	plain   — nothing extra: the pure compute/memory/sync hot path
 //	sampled — interval sampling plus event tracing (the postlude paths)
+//	traced  — event tracing alone (observation without sampling)
 //	thrifty — thrifty barriers (sleep accounting on wake-up)
 //	faulted — cache fault injection (per-access hook in global order)
 func engineTestConfig(t *testing.T, app splash.App, n int, mode string) Config {
@@ -30,6 +31,8 @@ func engineTestConfig(t *testing.T, app splash.App, n int, mode string) Config {
 	case "sampled":
 		cfg.SampleCycles = 50_000
 		cfg.TraceLast = 64
+	case "traced":
+		cfg.TraceLast = 300
 	case "thrifty":
 		cfg.ThriftyBarriers = true
 		cfg.SampleCycles = 80_000
@@ -88,7 +91,7 @@ func diffResults(a, b *Result) string {
 }
 
 // TestBatchedMatchesUnbatched is the golden equivalence guarantee of this
-// package: the batched fast path produces, for every SPLASH-2 model and
+// package: the fused fast path produces, for every SPLASH-2 model and
 // core count, results bit-identical to the event-at-a-time reference
 // loop — every cycle count, counter, activity record, interval sample,
 // and trace entry. Modes cover sampling, tracing, thrifty barriers, and
@@ -110,7 +113,7 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 			// plain and faulted modes cover the full matrix.
 			modes := []string{"plain", "faulted"}
 			if app.Name == "FFT" || app.Name == "Ocean" || app.Name == "Radiosity" {
-				modes = append(modes, "sampled", "thrifty")
+				modes = append(modes, "sampled", "traced", "thrifty")
 			}
 			for _, mode := range modes {
 				t.Run(fmt.Sprintf("%s/n%d/%s", app.Name, n, mode), func(t *testing.T) {
@@ -163,6 +166,75 @@ func TestBatchedMatchesUnbatchedMulti(t *testing.T) {
 	}
 }
 
+// tripEngine runs prog on a fresh engine with the chosen loop and returns
+// the engine as the loop left it, so a failed run's state can be compared.
+func tripEngine(t *testing.T, prog *workload.Program, cfg Config, unbatched bool) (*engine, error) {
+	t.Helper()
+	sources := make([]eventSource, cfg.NCores)
+	for i := range sources {
+		st, err := workload.NewStream(prog, i, cfg.NCores, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources[i] = st
+	}
+	e, err := newEngine(cfg, sources, prog.MaxBarrierID()+1, prog.MaxLockID()+1, cfg.NCores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unbatched {
+		return e, e.runUnbatched()
+	}
+	return e, e.runFused()
+}
+
+// TestObservedBudgetTripMatchesReference pins the observed fused loop's
+// event numbering: it arbitrates every event, so a MaxEvents budget trips
+// at exactly the reference loop's event — same error, same event count,
+// and the same core counters, samples and trace at the trip. (Unobserved
+// runs charge the budget per drained segment and may overshoot.)
+func TestObservedBudgetTripMatchesReference(t *testing.T) {
+	app, err := splash.ByName("FFT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := app.Program(0.02)
+	for _, n := range []int{1, 4} {
+		full, err := Run(prog, engineTestConfig(t, app, n, "sampled"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []int64{full.Events / 3, full.Events / 2, full.Events - 1} {
+			t.Run(fmt.Sprintf("n%d/max%d", n, budget), func(t *testing.T) {
+				cfg := engineTestConfig(t, app, n, "sampled")
+				cfg.MaxEvents = budget
+				ref, refErr := tripEngine(t, prog, cfg, true)
+				got, gotErr := tripEngine(t, prog, cfg, false)
+				if refErr == nil || gotErr == nil {
+					t.Fatalf("budget %d did not trip: reference %v, fused %v", budget, refErr, gotErr)
+				}
+				if gotErr.Error() != refErr.Error() {
+					t.Fatalf("error %q, reference %q", gotErr, refErr)
+				}
+				if got.events != ref.events {
+					t.Fatalf("tripped at event %d, reference at %d", got.events, ref.events)
+				}
+				for i := range ref.cores {
+					if g, w := got.cores[i].Stats(), ref.cores[i].Stats(); g != w {
+						t.Fatalf("core %d at trip: %+v vs %+v", i, g, w)
+					}
+				}
+				if !reflect.DeepEqual(got.samples, ref.samples) {
+					t.Fatalf("%d samples at trip vs %d", len(got.samples), len(ref.samples))
+				}
+				if !reflect.DeepEqual(got.ring.events(), ref.ring.events()) {
+					t.Fatal("trace at trip differs")
+				}
+			})
+		}
+	}
+}
+
 // benchmarkEngine measures one 16-core Ocean run; events/op plus ns/op
 // give engine events per second.
 func benchmarkEngine(b *testing.B, unbatched bool) {
@@ -170,18 +242,25 @@ func benchmarkEngine(b *testing.B, unbatched bool) {
 }
 
 func benchmarkEngineN(b *testing.B, unbatched bool, nCores int) {
-	app, err := splash.ByName("Ocean")
+	benchmarkEngineRun(b, "Ocean", 0.5, nCores, func(cfg *Config) { cfg.Unbatched = unbatched })
+}
+
+// benchmarkEngineRun measures one run of the named app at nCores on a chip
+// of at least 16 cores, with tune applied to the configuration.
+func benchmarkEngineRun(b *testing.B, name string, scale float64, nCores int, tune func(*Config)) {
+	app, err := splash.ByName(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	prog := app.Program(0.5)
+	prog := app.Program(scale)
 	tab, err := dvfs.PentiumMStyle(phys.Tech65())
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := DefaultConfig(nCores, tab.Nominal())
+	cfg.TotalCores = max(cfg.TotalCores, nCores)
 	cfg.Core = app.CoreConfig()
-	cfg.Unbatched = unbatched
+	tune(&cfg)
 	// The experiment rig always runs with a context (RunAppCtx installs
 	// context.Background() even for plain RunApp calls), so the
 	// representative engine configuration includes one. The reference
@@ -210,5 +289,31 @@ func BenchmarkEngineScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("cores=%d", n), func(b *testing.B) {
 			benchmarkEngineN(b, false, n)
 		})
+	}
+}
+
+// BenchmarkEngineObserved measures the observed fused loop — interval
+// sampling on, so every event is arbitrated and followed by the observe
+// postlude — on the apps and core counts that sampled runs (DTM replay,
+// the transient study) and thermal-limit studies at large N exercise.
+// Each run is split into 64 intervals, the DTM controller's default.
+func BenchmarkEngineObserved(b *testing.B) {
+	const scale = 0.5
+	for _, name := range []string{"Ocean", "FFT", "Radix"} {
+		for _, n := range []int{1, 4, 16, 128} {
+			b.Run(fmt.Sprintf("%s/cores=%d", name, n), func(b *testing.B) {
+				benchmarkEngineRun(b, name, scale, n, func(cfg *Config) {
+					app, err := splash.ByName(name)
+					if err != nil {
+						b.Fatal(err)
+					}
+					probe, err := Run(app.Program(scale), *cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					cfg.SampleCycles = probe.Cycles / 64
+				})
+			})
+		}
 	}
 }

@@ -553,15 +553,19 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 	}
 	// Relay verbatim: the shard's bytes are the contract (doctor check 13
 	// compares them against the direct library marshal).
-	if ct := out.header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if ra := out.header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
+	for _, h := range relayedHeaders {
+		if v := out.header.Get(h); v != "" {
+			w.Header().Set(h, v)
+		}
 	}
 	w.WriteHeader(out.status)
 	w.Write(out.body)
 }
+
+// relayedHeaders are the shard response headers a client can act on:
+// the body's type, backpressure's retry hint, and a surrogate-mode
+// answer's provenance and error bound.
+var relayedHeaders = []string{"Content-Type", "Retry-After", server.HeaderSource, server.HeaderBound}
 
 // statusWriter records the response status so proxy can attribute
 // outcomes (429s in particular) to the request's SLO class.
@@ -591,8 +595,13 @@ type attemptOut struct {
 
 // usable reports whether this outcome can be relayed to the client. A
 // 4xx (including 429 backpressure) is the fleet's honest answer and is
-// relayed; transport failures and 5xx trigger the retry path.
-func (a *attemptOut) usable() bool { return a.err == nil && a.status < 500 }
+// relayed; transport failures and 5xx trigger the retry path, and so
+// does a shard's 499: the router's attempt was still connected, so the
+// shard cancelled the request itself (its Close cancels every in-flight
+// request), which says nothing about the client.
+func (a *attemptOut) usable() bool {
+	return a.err == nil && a.status < 500 && a.status != server.StatusClientClosedRequest
+}
 
 // dispatch runs the hedged, budgeted attempt ladder over the ranked
 // shards and returns the first usable outcome, or the last failure.
@@ -783,7 +792,7 @@ func (rt *Router) recordOutcome(out *attemptOut) {
 	if s == nil {
 		return
 	}
-	ok := out.err == nil && out.status < 500
+	ok := out.usable()
 	rt.fleetMu.Lock()
 	tripped := s.br.record(ok, time.Now())
 	rt.fleetMu.Unlock()

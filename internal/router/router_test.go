@@ -428,6 +428,107 @@ func TestAttachMode(t *testing.T) {
 	}
 }
 
+// TestShard499IsRetried: a shard answers 499 when its own Close cancels
+// an in-flight request, while the router's attempt is still connected.
+// The router must count that as a failed attempt and retry on the next
+// shard, never relay a 499 to a client that is still there.
+func TestShard499IsRetried(t *testing.T) {
+	body := `{"app":"FFT","n":2,"scale":0.05,"seed":9}`
+	var stubRuns atomic.Int64
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			return // ready: 200
+		}
+		stubRuns.Add(1)
+		w.WriteHeader(server.StatusClientClosedRequest)
+	}))
+	defer stub.Close()
+	healthy := httptest.NewServer(server.New(server.Config{Workers: 2}).Handler())
+	defer healthy.Close()
+
+	// The stub takes the key's primary slot, so the first attempt hits it.
+	backends := []string{healthy.URL, healthy.URL}
+	backends[primarySlot(t, body, 2)] = stub.URL
+	rt := mustRouter(t, Config{
+		Backends:       backends,
+		HealthInterval: 10 * time.Millisecond,
+		HedgeMin:       5 * time.Second,
+		HedgeMax:       5 * time.Second,
+	})
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+
+	status, got := post(t, ts.URL, "/v1/run", body)
+	if status != http.StatusOK {
+		t.Fatalf("router relayed status %d, want the healthy shard's 200: %s", status, got)
+	}
+	if stubRuns.Load() == 0 {
+		t.Fatal("the 499 shard never saw the request; the test aims at the wrong slot")
+	}
+	_, want := post(t, healthy.URL, "/v1/run", body)
+	if !bytes.Equal(got, want) {
+		t.Errorf("retried answer differs from the healthy shard's:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestSurrogateHeadersRelayed: an approximate /v1/run answer keeps its
+// provenance and error-bound headers through the router, equal to what
+// the shard sends a direct client, along with identical body bytes.
+func TestSurrogateHeadersRelayed(t *testing.T) {
+	b0 := httptest.NewServer(server.New(server.Config{Workers: 2}).Handler())
+	defer b0.Close()
+	// Warm the shard's FFT fit with an exact-mode grid.
+	for _, n := range []int{1, 2, 4, 8} {
+		for _, mhz := range []int{3200, 2400, 1760} {
+			for seed := 1; seed <= 2; seed++ {
+				body := fmt.Sprintf(`{"app":"FFT","n":%d,"scale":0.05,"seed":%d,"freq_mhz":%d}`, n, seed, mhz)
+				if status, b := post(t, b0.URL, "/v1/run", body); status != http.StatusOK {
+					t.Fatalf("warm run status %d: %s", status, b)
+				}
+			}
+		}
+	}
+	rt := mustRouter(t, Config{
+		Backends:       []string{b0.URL},
+		HealthInterval: 10 * time.Millisecond,
+		HedgeMin:       5 * time.Second,
+		HedgeMax:       5 * time.Second,
+	})
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+
+	approx := func(url string) (http.Header, []byte) {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/run", "application/json", strings.NewReader(
+			`{"app":"FFT","n":4,"scale":0.05,"seed":77,"freq_mhz":2400,"mode":"surrogate"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("approximate run status %d: %s", resp.StatusCode, b)
+		}
+		return resp.Header, b
+	}
+	directHdr, directBody := approx(b0.URL)
+	if src := directHdr.Get(server.HeaderSource); src != "surrogate" {
+		t.Fatalf("warm shard answered from %q, want surrogate", src)
+	}
+	routedHdr, routedBody := approx(ts.URL)
+	for _, h := range []string{server.HeaderSource, server.HeaderBound} {
+		if got, want := routedHdr.Get(h), directHdr.Get(h); got != want {
+			t.Errorf("%s through router = %q, direct = %q", h, got, want)
+		}
+	}
+	if !bytes.Equal(routedBody, directBody) {
+		t.Errorf("routed body differs from direct:\n%s\nvs\n%s", routedBody, directBody)
+	}
+}
+
 // TestPerClassMetricsForwarded: a request tagged with the traffic class
 // header is counted per class at the router AND the tag is forwarded to
 // the winning shard, so the shard's per-class families line up with the

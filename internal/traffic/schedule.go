@@ -102,10 +102,13 @@ func Compile(spec *Spec) (*Schedule, error) {
 		varySeq := uint64(0)
 		t := gap() // first arrival is one gap in, not at t=0
 		for seq := 0; ; seq++ {
-			atUs := int64(t * 1e6)
-			if atUs >= horizonUs {
+			// Compared as floats so a gap that overflowed to +Inf (a rate
+			// near zero) ends the client's arrivals instead of wrapping
+			// through the integer conversion.
+			if !(t*1e6 < float64(horizonUs)) {
 				break
 			}
+			atUs := int64(t * 1e6)
 			tmpl := chooseTemplate(c.Requests, params)
 			body, err := buildBody(tmpl, params, spec.Seed, &varySeq)
 			if err != nil {

@@ -67,7 +67,8 @@ type Spec struct {
 	Seed uint64 `json:"seed"`
 	// RateRPS is the aggregate arrival rate across all clients.
 	RateRPS float64 `json:"rate_rps"`
-	// DurationSec is the schedule horizon in seconds.
+	// DurationSec is the schedule horizon in seconds, at most 1e7; the
+	// product RateRPS × DurationSec may not exceed 2^20 arrivals.
 	DurationSec float64 `json:"duration_sec"`
 	// Clients are the tenants; their rate fractions must sum to 1.
 	Clients []ClientSpec `json:"clients"`
@@ -93,10 +94,11 @@ type ArrivalSpec struct {
 	// Process is poisson, gamma, weibull, or fixed.
 	Process string `json:"process"`
 	// CV is the gamma process's coefficient of variation (default 1,
-	// which degenerates to poisson; >1 bursty, <1 regular).
+	// which degenerates to poisson; >1 bursty, <1 regular), within
+	// [0.01, 10].
 	CV float64 `json:"cv,omitempty"`
 	// Shape is the weibull shape parameter (default 1, which is
-	// poisson; <1 heavy-tailed bursts, >1 regular).
+	// poisson; <1 heavy-tailed bursts, >1 regular), within [0.1, 100].
 	Shape float64 `json:"shape,omitempty"`
 }
 
@@ -167,13 +169,31 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 	return &s, nil
 }
 
+// Spec bounds. Compile materializes every arrival, so the expected
+// schedule length is capped; the horizon cap keeps it exact in integer
+// microseconds. The arrival-process parameter ranges keep every gap
+// finite and the draws well conditioned: beyond them a gamma or weibull
+// process degenerates into floods of zero gaps, NaN gaps, or a sampler
+// that never returns.
+const (
+	maxArrivals    = 1 << 20
+	maxDurationSec = 1e7
+	minGammaCV     = 0.01
+	maxGammaCV     = 10.0
+	minWeibull     = 0.1
+	maxWeibull     = 100.0
+)
+
 // Validate rejects a malformed spec with the first problem found.
 func (s *Spec) Validate() error {
 	if s.RateRPS <= 0 {
 		return fmt.Errorf("traffic: rate_rps %g must be > 0", s.RateRPS)
 	}
-	if s.DurationSec <= 0 {
-		return fmt.Errorf("traffic: duration_sec %g must be > 0", s.DurationSec)
+	if s.DurationSec <= 0 || s.DurationSec > maxDurationSec {
+		return fmt.Errorf("traffic: duration_sec %g must be in (0, %g]", s.DurationSec, maxDurationSec)
+	}
+	if n := s.RateRPS * s.DurationSec; n > maxArrivals {
+		return fmt.Errorf("traffic: rate_rps × duration_sec expects %g arrivals, over the %d limit", n, maxArrivals)
 	}
 	if len(s.Clients) == 0 {
 		return fmt.Errorf("traffic: no clients")
@@ -233,12 +253,12 @@ func (a *ArrivalSpec) validate(client string) error {
 	switch a.Process {
 	case "poisson", "fixed":
 	case "gamma":
-		if a.CV < 0 {
-			return fmt.Errorf("traffic: client %q gamma cv %g must be >= 0", client, a.CV)
+		if a.CV != 0 && (a.CV < minGammaCV || a.CV > maxGammaCV) {
+			return fmt.Errorf("traffic: client %q gamma cv %g outside [%g,%g] (0 = default 1)", client, a.CV, minGammaCV, maxGammaCV)
 		}
 	case "weibull":
-		if a.Shape < 0 {
-			return fmt.Errorf("traffic: client %q weibull shape %g must be >= 0", client, a.Shape)
+		if a.Shape != 0 && (a.Shape < minWeibull || a.Shape > maxWeibull) {
+			return fmt.Errorf("traffic: client %q weibull shape %g outside [%g,%g] (0 = default 1)", client, a.Shape, minWeibull, maxWeibull)
 		}
 	default:
 		return fmt.Errorf("traffic: client %q arrival process %q (want poisson, gamma, weibull, or fixed)", client, a.Process)

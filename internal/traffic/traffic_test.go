@@ -3,6 +3,7 @@ package traffic
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -258,6 +259,43 @@ func TestArrivalProcessMeans(t *testing.T) {
 	}
 }
 
+// TestCompileAtParameterBounds: specs at the edges of the accepted
+// ranges compile to finite schedules of plausible length, and a rate so
+// low that the gaps overflow to +Inf yields no arrivals instead of
+// wrapping through the integer horizon check.
+func TestCompileAtParameterBounds(t *testing.T) {
+	for _, tc := range []struct {
+		rate    float64
+		arrival string
+	}{
+		{10, `{"process":"gamma","cv":0.01}`},
+		{10, `{"process":"gamma","cv":10}`},
+		{10, `{"process":"weibull","shape":0.1}`},
+		{10, `{"process":"weibull","shape":100}`},
+		{1e-310, `{"process":"fixed"}`},
+		{1e-310, `{"process":"weibull","shape":0.1}`},
+	} {
+		spec, err := ParseSpec(strings.NewReader(fmt.Sprintf(
+			`{"seed":3,"rate_rps":%g,"duration_sec":20,"clients":[{"name":"a","rate_fraction":1,"class":"batch","arrival":%s,"requests":[{"endpoint":"explore"}]}]}`,
+			tc.rate, tc.arrival)))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.arrival, err)
+		}
+		s, err := Compile(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.arrival, err)
+		}
+		if limit := 20 * tc.rate * 10; float64(len(s.Arrivals)) > limit {
+			t.Errorf("rate %g %s: %d arrivals, expected about %g", tc.rate, tc.arrival, len(s.Arrivals), 20*tc.rate)
+		}
+		for _, a := range s.Arrivals {
+			if a.AtMicros < 0 || a.AtMicros >= 20e6 {
+				t.Fatalf("rate %g %s: arrival at %d us outside the horizon", tc.rate, tc.arrival, a.AtMicros)
+			}
+		}
+	}
+}
+
 // TestSpecParseErrors pins the validation error paths.
 func TestSpecParseErrors(t *testing.T) {
 	cases := []struct {
@@ -282,6 +320,11 @@ func TestSpecParseErrors(t *testing.T) {
 		{"bad scenario", `{"rate_rps":10,"duration_sec":1,"clients":[{"name":"a","rate_fraction":1,"class":"batch","arrival":{"process":"poisson"},"requests":[{"endpoint":"sweep","scenarios":["III"]}]}]}`, "scenario"},
 		{"scenario on run", `{"rate_rps":10,"duration_sec":1,"clients":[{"name":"a","rate_fraction":1,"class":"batch","arrival":{"process":"poisson"},"requests":[{"endpoint":"run","apps":["FFT"],"scenarios":["I"]}]}]}`, "scenarios only apply"},
 		{"bad freq", `{"rate_rps":10,"duration_sec":1,"clients":[{"name":"a","rate_fraction":1,"class":"batch","arrival":{"process":"poisson"},"requests":[{"endpoint":"run","apps":["FFT"],"freqs_mhz":[0]}]}]}`, "freq"},
+		{"long horizon", `{"rate_rps":1e-6,"duration_sec":1e8,"clients":[{"name":"a","rate_fraction":1,"class":"batch","arrival":{"process":"poisson"},"requests":[{"endpoint":"explore"}]}]}`, "duration_sec"},
+		{"too many arrivals", `{"rate_rps":1e6,"duration_sec":10,"clients":[{"name":"a","rate_fraction":1,"class":"batch","arrival":{"process":"poisson"},"requests":[{"endpoint":"explore"}]}]}`, "arrivals"},
+		{"gamma cv huge", `{"rate_rps":10,"duration_sec":1,"clients":[{"name":"a","rate_fraction":1,"class":"batch","arrival":{"process":"gamma","cv":1e200},"requests":[{"endpoint":"explore"}]}]}`, "gamma cv"},
+		{"gamma cv tiny", `{"rate_rps":10,"duration_sec":1,"clients":[{"name":"a","rate_fraction":1,"class":"batch","arrival":{"process":"gamma","cv":1e-200},"requests":[{"endpoint":"explore"}]}]}`, "gamma cv"},
+		{"weibull shape tiny", `{"rate_rps":10,"duration_sec":1,"clients":[{"name":"a","rate_fraction":1,"class":"batch","arrival":{"process":"weibull","shape":0.001},"requests":[{"endpoint":"explore"}]}]}`, "weibull shape"},
 		{"freq on sweep", `{"rate_rps":10,"duration_sec":1,"clients":[{"name":"a","rate_fraction":1,"class":"batch","arrival":{"process":"poisson"},"requests":[{"endpoint":"sweep","freqs_mhz":[2400]}]}]}`, "freqs_mhz only applies"},
 	}
 	for _, tc := range cases {

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Tier-1+ verification gate (see ROADMAP.md): gofmt, vet, build, the
-# full test suite under the race detector, then short fuzz smokes over the two
+# full test suite under the race detector, then short fuzz smokes over the
 # input-parsing/lookup surfaces (the committed corpora under testdata/fuzz
 # run as ordinary tests; this additionally explores for 10s each). Fails
 # fast on the first broken step.
@@ -36,5 +36,11 @@ go test ./internal/surrogate -run='^$' -fuzz=FuzzSurrogateFit -fuzztime=10s
 
 echo "== fuzz smoke: scenario loader (10s)"
 go test ./internal/scenario -run='^$' -fuzz=FuzzScenarioLoad -fuzztime=10s
+
+echo "== fuzz smoke: traffic spec compiler (10s)"
+go test ./internal/traffic -run='^$' -fuzz=FuzzTrafficSpec -fuzztime=10s
+
+echo "== fuzz smoke: traffic CSV trace round trip (10s)"
+go test ./internal/traffic -run='^$' -fuzz=FuzzTrafficTrace -fuzztime=10s
 
 echo "check: all gates passed"
